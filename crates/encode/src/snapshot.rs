@@ -29,8 +29,10 @@ use std::fmt;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TM3S";
 
 /// Current snapshot format version. Bump on any layout change of any
-/// section; readers reject every other version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// section; readers reject every other version. Version 2 stores flat
+/// memory as a table of non-zero pages (version 1 stored a dense
+/// prefix).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Typed failures of snapshot decoding. Decoding never panics; arbitrary
 /// bytes degrade into one of these.
@@ -328,14 +330,15 @@ impl<'a> SectionReader<'a> {
 }
 
 /// Renders bytes as lowercase hex (for embedding snapshots in JSON
-/// crash reports).
+/// crash reports and wire replies).
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{b:02x}");
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)]);
+        out.push(DIGITS[usize::from(b & 0xf)]);
     }
-    s
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Parses the hex produced by [`to_hex`].
@@ -461,6 +464,13 @@ mod tests {
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
         assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn hex_digits_match_the_formatter_for_every_byte() {
+        let all: Vec<u8> = (0..=255).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), expected);
     }
 
     #[test]

@@ -147,6 +147,10 @@ pub trait DataMemory {
 /// hundred kilobytes.
 const SEG_BYTES: usize = 1 << 18;
 
+/// Page granularity of [`FlatMemory::nonzero_pages`]: 4 KiB, a divisor
+/// of `SEG_BYTES`.
+const PAGE_BYTES: usize = 1 << 12;
+
 /// A flat byte-array memory for functional simulation and tests.
 ///
 /// Addresses wrap within the memory size (which must be a power of two).
@@ -287,44 +291,28 @@ impl FlatMemory {
         }
     }
 
-    /// The number of bytes up to and including the last non-zero one
-    /// (0 for an all-zero memory). Snapshots store exactly this prefix.
-    pub fn trailing_nonzero_len(&self) -> usize {
-        for (si, seg) in self.segs.iter().enumerate().rev() {
-            if let Some(s) = seg {
-                if let Some(i) = s.iter().rposition(|&b| b != 0) {
-                    return si * self.seg_len + i + 1;
-                }
-            }
-        }
-        0
+    /// The snapshot page length: 4 KiB, or the whole memory when it is
+    /// smaller than one page.
+    pub fn page_len(&self) -> usize {
+        self.size.min(PAGE_BYTES)
     }
 
-    /// Calls `f` on consecutive chunks covering `[0, len)`, in address
-    /// order (absent segments surface as zero-filled chunks). Used by
-    /// snapshot serialization — equivalent to one pass over a contiguous
-    /// backing array.
-    pub fn for_each_chunk(&self, len: usize, mut f: impl FnMut(&[u8])) {
-        const ZEROS: [u8; 4096] = [0u8; 4096];
-        let mut at = 0usize;
-        while at < len {
-            let take = (len - at).min(self.seg_len - (at & (self.seg_len - 1)));
-            match &self.segs[at >> self.seg_shift] {
-                Some(s) => {
-                    let off = at & (self.seg_len - 1);
-                    f(&s[off..off + take]);
-                }
-                None => {
-                    let mut rest = take;
-                    while rest > 0 {
-                        let n = rest.min(ZEROS.len());
-                        f(&ZEROS[..n]);
-                        rest -= n;
-                    }
-                }
-            }
-            at += take;
-        }
+    /// Every [`page_len`](Self::page_len)-aligned page holding a non-zero
+    /// byte, as `(offset, bytes)` in ascending address order. Only
+    /// materialized segments are walked, so untouched address space
+    /// costs nothing. Snapshots store exactly these pages.
+    pub fn nonzero_pages(&self) -> impl Iterator<Item = (usize, &[u8])> + '_ {
+        let page = self.page_len();
+        self.segs
+            .iter()
+            .enumerate()
+            .filter_map(|(si, seg)| Some((si * self.seg_len, seg.as_deref()?)))
+            .flat_map(move |(base, seg)| {
+                seg.chunks_exact(page)
+                    .enumerate()
+                    .map(move |(i, p)| (base + i * page, p))
+            })
+            .filter(|(_, p)| p.iter().any(|&b| b != 0))
     }
 
     /// Fixed-width read at `addr`: the compile-time length lets the

@@ -831,15 +831,20 @@ impl MemorySystem {
     /// Serializes the complete mutable state of the memory system —
     /// backing memory, both cache arrays, prefetch unit, DRAM channel,
     /// write-buffer occupancy and statistics — into one snapshot
-    /// section. The flat memory is trailing-zero trimmed: only the bytes
-    /// up to the last non-zero one are stored, which keeps snapshots of
-    /// the default 16 MB address space proportional to the touched
-    /// footprint.
+    /// section. The flat memory is stored as a page table: the memory
+    /// size, a page count, then an offset and the bytes of every
+    /// [`FlatMemory::page_len`] page holding a non-zero byte, in
+    /// ascending address order. Snapshot size is thus proportional to
+    /// the touched footprint, and the bytes depend only on memory
+    /// contents.
     pub fn save_state(&self, w: &mut SectionWriter<'_>) {
-        let stored = self.flat.trailing_nonzero_len();
+        let pages: Vec<(usize, &[u8])> = self.flat.nonzero_pages().collect();
         w.u64(self.flat.len() as u64);
-        w.u64(stored as u64);
-        self.flat.for_each_chunk(stored, |chunk| w.bytes(chunk));
+        w.u64(pages.len() as u64);
+        for (offset, page) in pages {
+            w.u64(offset as u64);
+            w.bytes(page);
+        }
         w.f64(self.now);
         w.f64(self.stall);
         w.f64(self.cwb_pending);
@@ -857,25 +862,51 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on truncation or a mismatch against this
+    /// [`SnapshotError`] on truncation, a mismatch against this
     /// system's configuration (memory size, cache geometry, queue
-    /// capacity). The system state is unspecified after an error.
+    /// capacity) or a malformed page table (a page count larger than the
+    /// memory, or page offsets that are misaligned, out of range,
+    /// unsorted or duplicated). The system state is unspecified after an
+    /// error.
     pub fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
-        if r.u64("memory size")? != self.flat.len() as u64 {
+        let size = self.flat.len() as u64;
+        let page = self.flat.page_len() as u64;
+        if r.u64("memory size")? != size {
             return Err(SnapshotError::Corrupt {
                 what: "memory size does not match the configuration",
             });
         }
-        let stored = r.u64("stored memory length")?;
-        if stored > self.flat.len() as u64 {
+        let count = r.u64("memory page count")?;
+        if count > size / page {
             return Err(SnapshotError::Corrupt {
-                what: "stored memory exceeds the memory size",
+                what: "memory page count exceeds the memory size",
             });
         }
-        let stored = stored as usize;
-        let src = r.bytes(stored, "memory contents")?;
         self.flat.clear();
-        self.flat.write_from(0, src);
+        // The lowest offset the next page may start at: offsets must be
+        // strictly ascending, so unsorted and duplicated pages both trip.
+        let mut next = 0u64;
+        for _ in 0..count {
+            let offset = r.u64("memory page offset")?;
+            if offset % page != 0 {
+                return Err(SnapshotError::Corrupt {
+                    what: "memory page offset is not page-aligned",
+                });
+            }
+            if offset >= size {
+                return Err(SnapshotError::Corrupt {
+                    what: "memory page offset exceeds the memory size",
+                });
+            }
+            if offset < next {
+                return Err(SnapshotError::Corrupt {
+                    what: "memory page offsets are not strictly ascending",
+                });
+            }
+            next = offset + page;
+            let bytes = r.bytes(page as usize, "memory page")?;
+            self.flat.write_from(offset as u32, bytes);
+        }
         self.now = r.f64("memory clock")?;
         self.stall = r.f64("memory stall")?;
         self.cwb_pending = r.f64("write buffer occupancy")?;
