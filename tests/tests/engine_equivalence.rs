@@ -14,10 +14,10 @@
 //! the same cycle with the same crash report), and a fault-campaign
 //! golden pins the full 200-run seed-1 outcome histogram.
 
-use tm3270_asm::ProgramBuilder;
+use tm3270_asm::{BuildError, ProgramBuilder, SchedError};
 use tm3270_bench::campaign::{run_campaign, CampaignOptions};
 use tm3270_core::{Machine, MachineConfig, RunOptions};
-use tm3270_kernels::registry;
+use tm3270_kernels::{registry, KernelError};
 
 /// One pinned (workload, configuration) cell.
 struct Golden {
@@ -869,4 +869,106 @@ fn fault_campaign_histogram_is_pinned() {
             ("OutOfBoundsAccess", 29),
         ]
     );
+}
+
+/// The golden build checksum of every §6 experiment workload (the
+/// registry entries after the eleven Table 5 kernels) on every
+/// evaluation configuration (A–D, in `MachineConfig::evaluation_suite`
+/// order), or the operation that has no issue slot
+/// when the workload cannot target the machine. Captured from the
+/// original quadratic list scheduler: the checksum fingerprints the
+/// scheduled, encoded program, so any scheduler rewrite must keep it.
+const EXPERIMENT_BUILDS: &[(&str, [Result<u64, &str>; 4])] = &[
+    (
+        "cabac_decode",
+        [
+            Ok(0x6d95_3a8d_5ea4_d9e6),
+            Ok(0x42e9_1bd5_d74c_6a05),
+            Ok(0x42e9_1bd5_d74c_6a05),
+            Ok(0x42e9_1bd5_d74c_6a05),
+        ],
+    ),
+    (
+        "cabac_decode_opt",
+        [
+            Err("super_cabac_str"),
+            Ok(0x92ab_e945_b5c2_6fc2),
+            Ok(0x92ab_e945_b5c2_6fc2),
+            Ok(0x92ab_e945_b5c2_6fc2),
+        ],
+    ),
+    (
+        "motion_est",
+        [
+            Ok(0x1b0a_8286_2ea4_72ba),
+            Ok(0xff9b_d038_9f3b_cd29),
+            Ok(0xff9b_d038_9f3b_cd29),
+            Ok(0xff9b_d038_9f3b_cd29),
+        ],
+    ),
+    (
+        "motion_est_opt",
+        [
+            Err("ld_frac8"),
+            Ok(0x7b55_5af3_7755_f82c),
+            Ok(0x7b55_5af3_7755_f82c),
+            Ok(0x7b55_5af3_7755_f82c),
+        ],
+    ),
+    (
+        "block_filter",
+        [
+            Ok(0x7f22_2840_6f28_794d),
+            Ok(0x34bf_5eac_6dd8_148c),
+            Ok(0x34bf_5eac_6dd8_148c),
+            Ok(0x34bf_5eac_6dd8_148c),
+        ],
+    ),
+    (
+        "block_filter_prefetch",
+        [
+            Ok(0x7e77_af84_08cc_0128),
+            Ok(0x27d4_651e_a544_3937),
+            Ok(0x27d4_651e_a544_3937),
+            Ok(0x27d4_651e_a544_3937),
+        ],
+    ),
+    (
+        "upconv_opt_pf",
+        [
+            Err("ld_frac8"),
+            Ok(0x6e76_f468_d6a6_0805),
+            Ok(0x6e76_f468_d6a6_0805),
+            Ok(0x6e76_f468_d6a6_0805),
+        ],
+    ),
+    (
+        "mp3_proxy",
+        [
+            Ok(0xcc36_f1a4_93fc_24ba),
+            Ok(0x312c_201c_a4a8_54d6),
+            Ok(0x312c_201c_a4a8_54d6),
+            Ok(0x312c_201c_a4a8_54d6),
+        ],
+    ),
+];
+
+#[test]
+fn experiment_workload_builds_are_pinned() {
+    let configs = MachineConfig::evaluation_suite();
+    let experiments: Vec<_> = registry(1).into_iter().filter(|w| !w.is_golden()).collect();
+    assert_eq!(experiments.len(), EXPERIMENT_BUILDS.len());
+    for (workload, (name, pinned)) in experiments.iter().zip(EXPERIMENT_BUILDS) {
+        assert_eq!(workload.name(), *name, "registry order");
+        for (config, want) in configs.iter().zip(pinned) {
+            let got = match workload.golden_checksum(&config.issue) {
+                Ok(checksum) => Ok(checksum),
+                Err(KernelError::Build(BuildError::Sched(SchedError::NoSlot { mnemonic }))) => {
+                    Err(mnemonic)
+                }
+                Err(e) => panic!("{name} on {}: {e}", config.name),
+            };
+            assert_eq!(got, *want, "{name} on {}", config.name);
+        }
+    }
 }
