@@ -11,6 +11,11 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark tests (perfbench/, its own workspace) =="
+# perfbench builds against the crates through path dependencies, so a
+# crate API change that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy =="
 cargo clippy -q --all-targets -- -D warnings
 

@@ -229,7 +229,7 @@ impl ProgramBuilder {
         }
         let mut scheduled = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            let body = schedule_block(&self.model, &block.ops, 0)?;
+            let body = schedule_block(&self.model, &block.ops)?;
             let mut instrs = body.instrs;
             let branch = match block.term {
                 None | Some(Terminator::FallThrough) => None,

@@ -15,8 +15,7 @@
 //! * memory ordering with a small displacement-based alias analysis and
 //!   user-provided stream tags.
 
-use std::collections::HashMap;
-use tm3270_isa::{Instr, IssueModel, Op, Opcode, Unit};
+use tm3270_isa::{Instr, IssueModel, Op, Opcode, Reg, Unit, NUM_REGS};
 
 /// An operation tagged with scheduling metadata.
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +94,7 @@ fn may_alias(a: &TaggedOp, b: &TaggedOp) -> bool {
     }
     // Displacement-based disambiguation: same base register, disjoint
     // displacement intervals.
-    let base = |t: &TaggedOp| -> Option<(tm3270_isa::Reg, i64, i64)> {
+    let base = |t: &TaggedOp| -> Option<(Reg, i64, i64)> {
         let op = &t.op;
         let sig = op.opcode.signature();
         if !sig.imm || sig.srcs == 0 {
@@ -110,73 +109,122 @@ fn may_alias(a: &TaggedOp, b: &TaggedOp) -> bool {
     }
 }
 
-/// Builds the dependence edges: `issue[j] >= issue[i] + delta`.
-fn build_deps(model: &IssueModel, ops: &[TaggedOp]) -> Vec<Vec<(usize, u64)>> {
-    let n = ops.len();
-    let mut deps: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    // Register hazards.
-    for j in 0..n {
-        let oj = &ops[j].op;
-        let mut reads_j: Vec<tm3270_isa::Reg> = oj.sources().to_vec();
-        reads_j.push(oj.guard);
-        for i in (0..j).rev() {
-            let oi = &ops[i].op;
-            let lat_i = u64::from(model.latency(oi.opcode));
-            // RAW: j reads something i writes.
-            for &d in oi.dests() {
-                if reads_j.contains(&d) {
-                    deps[j].push((i, lat_i));
-                }
-                // WAW: j rewrites a register i writes.
-                for &dj in oj.dests() {
-                    if dj == d {
-                        let lat_j = u64::from(model.latency(oj.opcode));
-                        let delta = (lat_i + 1).saturating_sub(lat_j);
-                        deps[j].push((i, delta));
-                    }
-                }
-            }
-            // WAR: j writes something i reads.
-            let mut reads_i: Vec<tm3270_isa::Reg> = oi.sources().to_vec();
-            reads_i.push(oi.guard);
-            for &dj in oj.dests() {
-                if reads_i.contains(&dj) {
-                    deps[j].push((i, 0));
-                }
-            }
-        }
-    }
-    // Memory ordering.
-    for j in 0..n {
-        if !is_mem(&ops[j].op) {
-            continue;
-        }
-        let j_store = ops[j].op.opcode.is_store() || ops[j].op.unit() == Unit::Store;
-        for i in 0..j {
-            if !is_mem(&ops[i].op) {
-                continue;
-            }
-            let i_store = ops[i].op.opcode.is_store() || ops[i].op.unit() == Unit::Store;
-            if !i_store && !j_store {
-                continue; // loads reorder freely among themselves
-            }
-            if !may_alias(&ops[i], &ops[j]) {
-                continue;
-            }
-            let delta = if i_store { 1 } else { 0 };
-            deps[j].push((i, delta));
-        }
-    }
-    deps
+/// Whether a memory operation orders like a store: stores and the
+/// cache-control operations of the store unit.
+fn is_store_like(op: &Op) -> bool {
+    op.opcode.unit() == Unit::Store
 }
 
-trait UnitExt {
-    fn unit(&self) -> Unit;
+/// A dependence graph in compressed rows: row `j` is
+/// `edges[start[j]..start[j + 1]]`, a list of `(other op, delta)`.
+struct Rows {
+    start: Vec<u32>,
+    edges: Vec<(u32, u32)>,
 }
-impl UnitExt for Op {
-    fn unit(&self) -> Unit {
-        self.opcode.unit()
+
+impl Rows {
+    fn row(&self, j: usize) -> &[(u32, u32)] {
+        &self.edges[self.start[j] as usize..self.start[j + 1] as usize]
     }
+
+    /// The reversed graph: row `i` lists the ops whose rows name `i`.
+    fn transpose(&self) -> Rows {
+        let n = self.start.len() - 1;
+        let mut start = vec![0u32; n + 1];
+        for &(p, _) in &self.edges {
+            start[p as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut edges = vec![(0, 0); self.edges.len()];
+        for j in 0..n {
+            for &(p, delta) in self.row(j) {
+                let k = &mut fill[p as usize];
+                edges[*k as usize] = (j as u32, delta);
+                *k += 1;
+            }
+        }
+        Rows { start, edges }
+    }
+}
+
+/// Builds the predecessor rows: an edge `(i, delta)` in row `j` means
+/// `issue[j] >= issue[i] + delta`, with one edge per `(i, j)` pair
+/// carrying the largest delta of its hazards.
+///
+/// Register hazards link `j` to every earlier writer of a register it
+/// reads (RAW) or writes (WAW) and to every earlier reader of a register
+/// it writes (WAR). Memory ordering links a memory operation to every
+/// earlier one it may alias, unless both are loads.
+fn build_deps(ops: &[TaggedOp], lat: &[u32]) -> Rows {
+    let n = ops.len();
+    let mut start = Vec::with_capacity(n + 1);
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // `(row, position)` of the newest edge from each op, for deduplication.
+    let mut newest = vec![(u32::MAX, 0u32); n];
+    // The earlier writers and readers of each register.
+    let mut writers: Vec<Vec<u32>> = vec![Vec::new(); NUM_REGS];
+    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); NUM_REGS];
+    let mut mem_ops: Vec<u32> = Vec::new();
+    let mut stores: Vec<u32> = Vec::new();
+    start.push(0);
+    for (j, tj) in ops.iter().enumerate() {
+        let oj = &tj.op;
+        let row = j as u32;
+        let mut add = |i: u32, delta: u32| {
+            let (r, k) = &mut newest[i as usize];
+            if *r == row {
+                let e = &mut edges[*k as usize].1;
+                *e = (*e).max(delta);
+            } else {
+                *r = row;
+                *k = edges.len() as u32;
+                edges.push((i, delta));
+            }
+        };
+        let reads = || oj.sources().iter().chain([&oj.guard]);
+        for &r in reads() {
+            for &i in &writers[r.index()] {
+                add(i, lat[i as usize]); // RAW
+            }
+        }
+        for &d in oj.dests() {
+            for &i in &writers[d.index()] {
+                add(i, (lat[i as usize] + 1).saturating_sub(lat[j])); // WAW
+            }
+            for &i in &readers[d.index()] {
+                add(i, 0); // WAR
+            }
+        }
+        if is_mem(oj) {
+            let j_store = is_store_like(oj);
+            // Loads reorder freely among themselves.
+            let earlier = if j_store { &mem_ops } else { &stores };
+            for &i in earlier {
+                let ti = &ops[i as usize];
+                if may_alias(ti, tj) {
+                    add(i, u32::from(is_store_like(&ti.op)));
+                }
+            }
+            mem_ops.push(row);
+            if j_store {
+                stores.push(row);
+            }
+        }
+        for &r in reads() {
+            let list = &mut readers[r.index()];
+            if list.last() != Some(&row) {
+                list.push(row);
+            }
+        }
+        for &d in oj.dests() {
+            writers[d.index()].push(row);
+        }
+        start.push(edges.len() as u32);
+    }
+    Rows { start, edges }
 }
 
 /// Per-cycle structural state.
@@ -186,166 +234,162 @@ struct Cycle {
     loads: u8,
 }
 
+/// The structural state of a partial schedule: issue slots and load
+/// ports per issue cycle, write-back ports per landing cycle.
+struct Resources<'m> {
+    model: &'m IssueModel,
+    /// One entry per issue cycle examined so far.
+    cycles: Vec<Cycle>,
+    /// Write-back ports taken, indexed by landing cycle.
+    wb: Vec<[bool; 5]>,
+}
+
+impl Resources<'_> {
+    fn wb_taken(&self, c: usize, s: usize) -> bool {
+        self.wb.get(c).is_some_and(|w| w[s])
+    }
+
+    /// Places `op` in the first cycle at or after `earliest` with a free
+    /// slot, load port and write-back port(s); returns `(cycle, slot)`.
+    fn place(&mut self, op: &Op, lat: u32, earliest: u64) -> Result<(u64, usize), SchedError> {
+        let allowed = self.model.allowed_slots(op.opcode);
+        if allowed.is_empty() {
+            return Err(SchedError::NoSlot {
+                mnemonic: op.opcode.mnemonic(),
+            });
+        }
+        let is_load = op.opcode.is_load();
+        let two_slot = op.opcode.is_two_slot();
+        let n_dsts = op.dests().len();
+        for c in earliest as usize..earliest as usize + 100_000 {
+            if self.cycles.len() <= c {
+                self.cycles.resize(c + 1, Cycle::default());
+            }
+            let cy = &self.cycles[c];
+            if is_load && cy.loads >= self.model.loads_per_instr {
+                continue;
+            }
+            let land = c + lat as usize;
+            let Some(&s) = allowed.iter().find(|&&s| {
+                !cy.slots[s]
+                    && (!two_slot || !cy.slots[s + 1])
+                    && (n_dsts == 0 || !self.wb_taken(land, s))
+                    && (n_dsts < 2 || !self.wb_taken(land, s + 1))
+            }) else {
+                continue;
+            };
+            let cy = &mut self.cycles[c];
+            cy.slots[s] = true;
+            if two_slot {
+                cy.slots[s + 1] = true;
+            }
+            if is_load {
+                cy.loads += 1;
+            }
+            if n_dsts >= 1 {
+                if self.wb.len() <= land {
+                    self.wb.resize(land + 1, [false; 5]);
+                }
+                self.wb[land][s] = true;
+                if n_dsts >= 2 {
+                    self.wb[land][s + 1] = true;
+                }
+            }
+            return Ok((c as u64, s));
+        }
+        Err(SchedError::Unschedulable {
+            mnemonic: op.opcode.mnemonic(),
+        })
+    }
+}
+
 /// Schedules `ops` (program order) into VLIW instructions.
 ///
-/// `min_len` pads the block to at least that many instructions (used by
-/// the builder for jump delay slots).
+/// The list scheduler works in rounds. An operation becomes a candidate
+/// in the round after its last predecessor is placed; each round places
+/// its candidates highest critical path first (ties in program order),
+/// each in the first cycle that satisfies its dependences and has the
+/// resources free. Building the dependence rows costs O(n + E) plus a
+/// scan over pairs of memory operations; the rounds cost O(E) plus
+/// sorting and the per-operation cycle search.
 ///
 /// # Errors
 ///
 /// Returns [`SchedError`] if an operation cannot be placed.
-pub fn schedule_block(
-    model: &IssueModel,
-    ops: &[TaggedOp],
-    min_len: usize,
-) -> Result<ScheduledBlock, SchedError> {
+pub fn schedule_block(model: &IssueModel, ops: &[TaggedOp]) -> Result<ScheduledBlock, SchedError> {
     let n = ops.len();
-    let deps = build_deps(model, ops);
+    let lat: Vec<u32> = ops.iter().map(|t| model.latency(t.op.opcode)).collect();
+    let preds = build_deps(ops, &lat);
+    let succs = preds.transpose();
 
-    // Critical-path heights for priority.
-    let mut height = vec![0u64; n];
-    for i in (0..n).rev() {
-        // height of i = max over successors; recompute from deps of j > i.
-        for j in i + 1..n {
-            for &(p, delta) in &deps[j] {
-                if p == i {
-                    height[i] = height[i].max(height[j] + delta.max(1));
-                }
-            }
+    // Critical-path heights for priority: every successor of `j` has a
+    // larger index, so one reverse pass sees final heights only.
+    let mut height = vec![0u32; n];
+    for j in (0..n).rev() {
+        let hj = height[j];
+        for &(p, delta) in preds.row(j) {
+            let h = &mut height[p as usize];
+            *h = (*h).max(hj + delta.max(1));
         }
     }
 
-    let mut issue: Vec<Option<u64>> = vec![None; n];
-    let mut cycles: Vec<Cycle> = Vec::new();
-    let mut wb: HashMap<(u64, usize), bool> = HashMap::new();
-    let mut remaining: Vec<usize> = (0..n).collect();
-
-    let ensure_cycle = |cycles: &mut Vec<Cycle>, c: usize| {
-        while cycles.len() <= c {
-            cycles.push(Cycle::default());
-        }
+    let mut unplaced_preds: Vec<u32> = (0..n).map(|j| preds.row(j).len() as u32).collect();
+    let mut ready: Vec<u32> = (0..n as u32)
+        .filter(|&j| unplaced_preds[j as usize] == 0)
+        .collect();
+    let mut next = Vec::new();
+    let mut issue = vec![0u64; n];
+    let mut placed_slots = vec![0usize; n];
+    let mut res = Resources {
+        model,
+        cycles: Vec::new(),
+        wb: Vec::new(),
     };
-
-    let mut placed_slots: Vec<usize> = vec![0; n];
-    while !remaining.is_empty() {
-        // Earliest cycle per remaining op given already-scheduled preds.
-        let mut ready: Vec<(usize, u64)> = Vec::new();
-        'op: for &j in &remaining {
-            let mut t = 0u64;
-            for &(p, delta) in &deps[j] {
-                match issue[p] {
-                    Some(c) => t = t.max(c + delta),
-                    None => continue 'op, // pred unscheduled
-                }
-            }
-            ready.push((j, t));
-        }
+    while !ready.is_empty() {
         // Highest critical path first; ties by program order.
-        ready.sort_by_key(|&(j, _)| (std::cmp::Reverse(height[j]), j));
-
-        let mut progress = false;
-        for (j, earliest) in ready {
-            if issue[j].is_some() {
-                continue;
-            }
-            let op = &ops[j].op;
-            let allowed = model.allowed_slots(op.opcode);
-            if allowed.is_empty() {
-                return Err(SchedError::NoSlot {
-                    mnemonic: op.opcode.mnemonic(),
-                });
-            }
-            let lat = u64::from(model.latency(op.opcode));
-            let is_load = op.opcode.is_load();
-            let two_slot = op.opcode.is_two_slot();
-            let n_dsts = op.dests().len();
-            let mut placed = false;
-            for c in earliest..earliest + 100_000 {
-                ensure_cycle(&mut cycles, c as usize);
-                let cy = &cycles[c as usize];
-                if is_load && cy.loads >= model.loads_per_instr {
-                    continue;
+        ready.sort_unstable_by_key(|&j| (std::cmp::Reverse(height[j as usize]), j));
+        for &j in &ready {
+            let j = j as usize;
+            let earliest = preds
+                .row(j)
+                .iter()
+                .map(|&(p, delta)| issue[p as usize] + u64::from(delta))
+                .max()
+                .unwrap_or(0);
+            (issue[j], placed_slots[j]) = res.place(&ops[j].op, lat[j], earliest)?;
+        }
+        for &j in &ready {
+            for &(s, _) in succs.row(j as usize) {
+                let left = &mut unplaced_preds[s as usize];
+                *left -= 1;
+                if *left == 0 {
+                    next.push(s);
                 }
-                for &s in allowed {
-                    let free = !cy.slots[s] && (!two_slot || !cy.slots[s + 1]);
-                    if !free {
-                        continue;
-                    }
-                    // Write-back port check.
-                    let wb_ok = match n_dsts {
-                        0 => true,
-                        1 => !wb.contains_key(&(c + lat, s)),
-                        _ => !wb.contains_key(&(c + lat, s)) && !wb.contains_key(&(c + lat, s + 1)),
-                    };
-                    if !wb_ok {
-                        continue;
-                    }
-                    // Place.
-                    let cy = &mut cycles[c as usize];
-                    cy.slots[s] = true;
-                    if two_slot {
-                        cy.slots[s + 1] = true;
-                    }
-                    if is_load {
-                        cy.loads += 1;
-                    }
-                    if n_dsts >= 1 {
-                        wb.insert((c + lat, s), true);
-                    }
-                    if n_dsts >= 2 {
-                        wb.insert((c + lat, s + 1), true);
-                    }
-                    issue[j] = Some(c);
-                    placed_slots[j] = s;
-                    placed = true;
-                    progress = true;
-                    break;
-                }
-                if placed {
-                    break;
-                }
-            }
-            if !placed {
-                return Err(SchedError::Unschedulable {
-                    mnemonic: op.opcode.mnemonic(),
-                });
             }
         }
-        remaining.retain(|&j| issue[j].is_none());
-        if !progress && !remaining.is_empty() {
-            return Err(SchedError::Unschedulable {
-                mnemonic: ops[remaining[0]].op.opcode.mnemonic(),
-            });
-        }
+        ready.clear();
+        std::mem::swap(&mut ready, &mut next);
     }
 
-    // Materialize instructions.
-    let len = cycles.len().max(min_len).max(
-        // All results must land inside the block (drain semantics at
-        // block boundaries keeps cross-block schedules correct without
-        // global liveness analysis).
-        (0..n)
-            .map(|j| {
-                let lat = u64::from(model.latency(ops[j].op.opcode));
-                (issue[j].unwrap() + lat) as usize
-            })
-            .max()
-            .unwrap_or(0),
-    );
+    // Materialize instructions. All results must land inside the block
+    // (drain semantics at block boundaries keeps cross-block schedules
+    // correct without global liveness analysis).
+    let len = (0..n)
+        .map(|j| (issue[j] + u64::from(lat[j])) as usize)
+        .fold(res.cycles.len(), usize::max);
     let mut instrs = vec![Instr::nop(); len];
     for j in 0..n {
-        instrs[issue[j].unwrap() as usize].place(ops[j].op, placed_slots[j]);
+        instrs[issue[j] as usize].place(ops[j].op, placed_slots[j]);
     }
     Ok(ScheduledBlock {
         instrs,
-        issue_cycles: issue.into_iter().map(|c| c.unwrap()).collect(),
+        issue_cycles: issue,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm3270_isa::Reg;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -361,7 +405,7 @@ mod tests {
         let ops: Vec<_> = (0..5)
             .map(|i| t(Op::rrr(Opcode::Iadd, r(10 + i), r(2), r(3))))
             .collect();
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert_eq!(sched.instrs.len(), 1);
         assert_eq!(sched.instrs[0].op_count(), 5);
     }
@@ -373,7 +417,7 @@ mod tests {
             t(Op::rrr(Opcode::Imul, r(10), r(2), r(3))), // latency 3
             t(Op::rrr(Opcode::Iadd, r(11), r(10), r(3))),
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert_eq!(sched.issue_cycles[0], 0);
         assert_eq!(sched.issue_cycles[1], 3);
     }
@@ -385,7 +429,7 @@ mod tests {
                 t(Op::rri(Opcode::Ld32d, r(10), r(2), 0)),
                 t(Op::rrr(Opcode::Iadd, r(11), r(10), r(3))),
             ];
-            schedule_block(&model, &ops, 0).unwrap().issue_cycles[1]
+            schedule_block(&model, &ops).unwrap().issue_cycles[1]
         };
         assert_eq!(mk(IssueModel::tm3270()), 4);
         assert_eq!(mk(IssueModel::tm3260()), 3);
@@ -397,9 +441,9 @@ mod tests {
             t(Op::rri(Opcode::Ld32d, r(10), r(2), 0)),
             t(Op::rri(Opcode::Ld32d, r(11), r(2), 4)),
         ];
-        let s60 = schedule_block(&IssueModel::tm3260(), &ops, 0).unwrap();
+        let s60 = schedule_block(&IssueModel::tm3260(), &ops).unwrap();
         assert_eq!(s60.issue_cycles, vec![0, 0]);
-        let s70 = schedule_block(&IssueModel::tm3270(), &ops, 0).unwrap();
+        let s70 = schedule_block(&IssueModel::tm3270(), &ops).unwrap();
         assert_eq!(s70.issue_cycles, vec![0, 1], "one load port on TM3270");
     }
 
@@ -416,7 +460,7 @@ mod tests {
             )),
             t(Op::rrr(Opcode::Quadavg, r(12), r(2), r(3))),
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         // DspAlu (slots 2,3 1-based = indices 1,2) collides with the super
         // op in slots 2+3; quadavg must go to the other dsp slot or the
         // next cycle.
@@ -429,7 +473,7 @@ mod tests {
     fn tm3270_only_op_fails_on_tm3260() {
         let ops = vec![t(Op::rrr(Opcode::LdFrac8, r(10), r(2), r(3)))];
         assert!(matches!(
-            schedule_block(&IssueModel::tm3260(), &ops, 0),
+            schedule_block(&IssueModel::tm3260(), &ops),
             Err(SchedError::NoSlot { .. })
         ));
     }
@@ -441,7 +485,7 @@ mod tests {
             t(Op::new(Opcode::St32d, Reg::ONE, &[r(2), r(3)], &[], 0)),
             t(Op::new(Opcode::St32d, Reg::ONE, &[r(2), r(4)], &[], 0)),
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert!(sched.issue_cycles[1] > sched.issue_cycles[0]);
     }
 
@@ -452,7 +496,7 @@ mod tests {
             t(Op::new(Opcode::St32d, Reg::ONE, &[r(2), r(3)], &[], 0)),
             t(Op::new(Opcode::St32d, Reg::ONE, &[r(2), r(4)], &[], 4)),
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert_eq!(
             sched.issue_cycles,
             vec![0, 0],
@@ -473,7 +517,7 @@ mod tests {
                 stream: Some(2),
             },
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert_eq!(sched.issue_cycles, vec![0, 0]);
     }
 
@@ -484,7 +528,7 @@ mod tests {
             t(Op::new(Opcode::St32d, Reg::ONE, &[r(2), r(3)], &[], 0)),
             t(Op::rri(Opcode::Ld32d, r(10), r(2), 0)),
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert!(sched.issue_cycles[1] > sched.issue_cycles[0]);
     }
 
@@ -497,25 +541,16 @@ mod tests {
             t(Op::rrr(Opcode::Imul, r(10), r(2), r(3))),
             t(Op::rrr(Opcode::Iadd, r(10), r(4), r(5))),
         ];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         let (c0, c1) = (sched.issue_cycles[0], sched.issue_cycles[1]);
         assert!(c1 + 1 > c0 + 3, "add write-back after mul write-back");
-    }
-
-    #[test]
-    fn min_len_pads_block() {
-        let model = IssueModel::tm3270();
-        let ops = vec![t(Op::rrr(Opcode::Iadd, r(10), r(2), r(3)))];
-        let sched = schedule_block(&model, &ops, 7).unwrap();
-        assert_eq!(sched.instrs.len(), 7);
-        assert!(sched.instrs[6].is_nop());
     }
 
     #[test]
     fn block_drains_latencies() {
         let model = IssueModel::tm3270();
         let ops = vec![t(Op::rri(Opcode::Ld32d, r(10), r(2), 0))];
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         assert_eq!(sched.instrs.len(), 4, "load result lands inside block");
     }
 
@@ -530,7 +565,7 @@ mod tests {
         for i in 0..30 {
             ops.push(t(Op::rrr(Opcode::Iadd, r(20 + (i % 40) as u8), r(2), r(3))));
         }
-        let sched = schedule_block(&model, &ops, 0).unwrap();
+        let sched = schedule_block(&model, &ops).unwrap();
         // Verify no two results land on the same (cycle, slot).
         let mut seen = std::collections::HashSet::new();
         for (j, &c) in sched.issue_cycles.iter().enumerate() {

@@ -318,7 +318,7 @@ fn random_block_schedules_match_pinned_digest() {
             .collect();
         ops_total += ops.len();
         h.u64(case);
-        match schedule_block(&model, &ops, 0) {
+        match schedule_block(&model, &ops) {
             Ok(block) => {
                 h.u64(block.instrs.len() as u64);
                 for instr in &block.instrs {
